@@ -237,15 +237,17 @@ pub fn run(ctx: &mut Ctx) -> Vec<Table> {
     let ladder = crate::context::scaled_route_ladder();
     let routing_rows: Vec<(&str, HyTGraphConfig)> = {
         let row = |breakpoints: Vec<u64>, load_aware: bool, cut: Option<u64>| {
-            let base = HyTGraphConfig {
+            let mut base = HyTGraphConfig {
                 topology: TopologyKind::Ring,
                 num_devices: MIXED_DEVICES,
                 route_breakpoints: breakpoints,
                 load_aware_exchange: load_aware,
-                cut_through: cut,
                 threads: 1,
                 ..base_config()
             };
+            if let Some(chunk) = cut {
+                base.peer_link = base.peer_link.with_cut_through(chunk);
+            }
             SystemKind::HyTGraph.configure(base)
         };
         let chunk = (256u64 << 10) >> shift;

@@ -29,30 +29,6 @@ pub enum AsyncMode {
     },
 }
 
-/// How the exchange-overlap window is sized when `overlap_exchange` is
-/// on: what portion of the next iteration's work iteration `i`'s routed
-/// all-gather may hide under.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum OverlapWindow {
-    /// Size the window per iteration from what actually runs next: the
-    /// overlappable analysis share of the orchestration overhead
-    /// ([`crate::runner::ANALYSIS_SPAN_COPIES`] launch latencies),
-    /// scaled by the fraction of partitions the *next* iteration's
-    /// activity analysis actually prices. An exchange followed by no
-    /// further iteration (frontier drained, or the `max_iterations` cap)
-    /// hides nothing — there is no next analysis to hide under. The
-    /// default.
-    #[default]
-    Measured,
-    /// The historical fixed window of
-    /// [`crate::runner::ITERATION_OVERHEAD_COPIES`] launch latencies,
-    /// regardless of what the next iteration does (it over-hides
-    /// whenever the next analysis is shorter than the constant, and
-    /// hides under a final iteration that never materialises when the
-    /// frontier drains). Kept reproducible for differential suites.
-    FixedConstant,
-}
-
 /// Full configuration of a run.
 #[derive(Clone, Debug)]
 pub struct HyTGraphConfig {
@@ -93,7 +69,11 @@ pub struct HyTGraphConfig {
     /// discipline. Host-only configs and uniform half-duplex *cliques*
     /// price bit-identically to PR 3; rings do not, because routing now
     /// forwards distance ≥ 2 pairs device-via-device instead of always
-    /// host-staging them (that mispricing was the bug).
+    /// host-staging them (that mispricing was the bug). Cut-through
+    /// forwarding is a per-link property too:
+    /// [`LinkSpec::with_cut_through`] on this spec (and on each
+    /// `link_overrides` entry that should pipeline) prices multi-hop
+    /// detours as pipelined chunks instead of store-and-forward.
     pub peer_link: LinkSpec,
     /// Per-link spec overrides applied on top of the uniform `topology`
     /// build: each `(a, b, spec)` entry re-prices the peer link between
@@ -121,22 +101,14 @@ pub struct HyTGraphConfig {
     /// worse than the static routing. Off by default so exchanges price
     /// bit-identically to PR 4.
     pub load_aware_exchange: bool,
-    /// Cut-through chunk size for forwarded chains: when set, every
-    /// peer link without an explicit per-link chunk forwards in chunks
-    /// of this many bytes, pricing multi-hop detours as pipelined
-    /// chunks (bottleneck hop + per-hop ramp) instead of full
-    /// store-and-forward. `None` (the default) keeps store-and-forward,
-    /// bit-identical to PR 4.
-    pub cut_through: Option<u64>,
     /// Overlap the inter-device frontier exchange with the next
     /// iteration's cost analysis instead of pricing it as a post-barrier
-    /// serial segment (ROADMAP item 3). Off by default so the serial
-    /// baseline stays reproducible.
+    /// serial segment: iteration `i` hides
+    /// `min(exchange_i, analysis_span_{i+1})`
+    /// ([`crate::runner::analysis_span`]), and a run's final exchange
+    /// hides nothing. Off by default so the serial baseline stays
+    /// reproducible.
     pub overlap_exchange: bool,
-    /// How the overlap window is sized when `overlap_exchange` is on:
-    /// measured per-iteration from the next analysis span (the default),
-    /// or the historical fixed constant for differential suites.
-    pub overlap_window: OverlapWindow,
     /// Device-affine migration: between iterations (and, because the
     /// device plan is resident, between back-to-back runs on one
     /// system), move a partition to the device its activity keeps
@@ -201,9 +173,7 @@ impl Default for HyTGraphConfig {
             link_overrides: Vec::new(),
             route_breakpoints: Vec::new(),
             load_aware_exchange: false,
-            cut_through: None,
             overlap_exchange: false,
-            overlap_window: OverlapWindow::Measured,
             affine_migration: false,
             peer_zc: false,
             contention_aware_selection: false,
@@ -243,14 +213,8 @@ mod tests {
         assert!(c.link_overrides.is_empty(), "uniform links unless configured otherwise");
         assert!(c.route_breakpoints.is_empty(), "single-probe routing is the PR 4 baseline");
         assert!(!c.load_aware_exchange, "static routing is the reproducible baseline");
-        assert_eq!(c.cut_through, None, "store-and-forward is the PR 4 baseline");
         assert_eq!(c.peer_link.duplex, hyt_sim::Duplex::Full, "NVLink is full-duplex");
         assert!(!c.overlap_exchange, "the serial exchange is the reproducible baseline");
-        assert_eq!(
-            c.overlap_window,
-            OverlapWindow::Measured,
-            "overlap, when enabled, hides under the measured next analysis span"
-        );
         assert!(!c.affine_migration, "static placement is the reproducible baseline");
         assert!(!c.peer_zc, "peer-served zero-copy is opt-in");
         assert!(!c.contention_aware_selection, "contended costs are opt-in");

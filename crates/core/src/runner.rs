@@ -1,19 +1,28 @@
 //! The iteration driver: HyTGraph's main loop (Fig. 5).
 //!
-//! Each iteration alternates the paper's two stages until the frontier
-//! drains:
+//! Each iteration runs three stages, in order, until the frontier
+//! drains. Every system preset, including the CPU-only Galois row, runs
+//! the same three:
 //!
-//! 1. **Cost-aware task generation** — per-partition activity analysis,
-//!    cost formulas (1)–(3), engine selection (Algorithm 1), task
-//!    combination.
-//! 2. **Asynchronous task scheduling** — contribution-driven priority
-//!    ordering, real kernel execution (with the recompute-once pass over
-//!    loaded data), and discrete-event pricing of the multi-stream
-//!    timeline.
+//! 1. **Analyze** — per-partition activity analysis, engine selection
+//!    (Algorithm 1, a constant baseline policy, or Grus residency), task
+//!    combining and contribution-driven priority ordering. It reads the
+//!    values (Δ-driven priority) but never writes them. The CPU-only row
+//!    analyses into one host task over every active vertex.
+//! 2. **Execute** — the real kernels over exactly the edges each engine
+//!    delivers: the compaction gather, the primary launch and the
+//!    recompute-once pass over loaded data. It is the **only** stage that
+//!    writes [`Values`]. It hands back the next frontier and, per task,
+//!    the vertex lists its recompute rounds processed.
+//! 3. **Price** — engine plans and recompute charges per device, the
+//!    discrete-event schedule of the multi-stream timeline, the routed
+//!    exchange and the exchange overlap. Its functions take neither
+//!    [`Values`] nor a [`VertexProgram`], so placement, routing and
+//!    pricing cannot change what a run computes. The CPU-only row prices
+//!    at host edge throughput instead.
 //!
-//! The runner owns the correctness/timing split: *results* come from real
-//! host-side kernels over exactly the edges each engine delivers; *times*
-//! come from the simulator's makespan of the same task set.
+//! *Results* therefore come from real host-side kernels and *times* from
+//! the simulator's makespan of the same task set.
 //!
 //! # Multi-device sharding
 //!
@@ -33,9 +42,8 @@
 //! links are full-duplex by default).
 //! With `config.overlap_exchange` the exchange further hides under the
 //! next iteration's cost analysis instead of sitting after the barrier;
-//! the window is sized per iteration from the span that analysis
-//! actually takes ([`crate::config::OverlapWindow::Measured`]), with the
-//! historical fixed-constant window kept for differential suites.
+//! the window is sized from the span that analysis actually takes
+//! ([`analysis_span`]), so a run's final exchange hides nothing.
 //!
 //! Kernels still execute in the *global* contribution-driven priority
 //! order — the iteration barrier means device placement cannot change
@@ -48,7 +56,7 @@
 
 use crate::api::{InitialFrontier, ValueLayout, Values, VertexProgram};
 use crate::combine::{combine_tasks_sized, CombinedTask};
-use crate::config::{AsyncMode, HyTGraphConfig, OverlapWindow};
+use crate::config::{AsyncMode, HyTGraphConfig};
 use crate::kernel::{run_kernel, EdgeSource};
 use crate::priority::order_tasks;
 use crate::select::{select_engines_sharded_by, DeviceBudgets, SelectParams, Selection};
@@ -59,8 +67,8 @@ use hyt_engines::{
 };
 use hyt_graph::placement::{plan_cost_driven, AffinityMatrix, PlacementPricer};
 use hyt_graph::{
-    hub_sort, AdjacencyView, Csr, DeltaCsr, DeviceAssignment, DevicePlan, EdgeOp, Frontier,
-    GraphError, HubSortResult, MutationBatch, PartitionSet, VertexId,
+    hub_sort, Csr, DeltaCsr, DeviceAssignment, DevicePlan, EdgeOp, Frontier, GraphError,
+    HubSortResult, MutationBatch, PartitionSet, VertexId,
 };
 use hyt_sim::{ExchangeReport, Interconnect, MultiGpuSim, SimTask, TransferCounters};
 use std::collections::HashMap;
@@ -86,8 +94,8 @@ pub const ANALYSIS_SPAN_COPIES: f64 = 4.0;
 /// [`ANALYSIS_SPAN_COPIES`] share of the orchestration overhead scaled
 /// by the fraction of partitions the analysis prices (inactive
 /// partitions fail the bitmap test immediately and cost ~nothing). This
-/// is the measured window the previous iteration's exchange may hide
-/// under ([`crate::config::OverlapWindow::Measured`]).
+/// is the window the previous iteration's exchange may hide under when
+/// [`HyTGraphConfig::overlap_exchange`] is on.
 pub fn analysis_span(copy_latency: f64, active_partitions: u32, total_partitions: u32) -> f64 {
     if total_partitions == 0 {
         return 0.0;
@@ -298,13 +306,44 @@ fn build_placement(
     (affinity, devices)
 }
 
-/// Grus-like partition residency (unified-memory as a prefetch cache).
-struct GrusState {
+/// Grus-like partition residency on one device (unified-memory as a
+/// prefetch cache): Analyze state, carried across a run's iterations.
+struct GrusResidency {
     /// Partition is (or is being) cached in device memory.
     resident: Vec<bool>,
-    /// Partition's first migration has been priced already.
-    charged: Vec<bool>,
     budget_left: u64,
+}
+
+/// Stage 1's output: what one iteration runs, in schedule order.
+struct Analysis {
+    /// One activity record per partition, in partition order.
+    acts: Vec<PartitionActivity>,
+    /// `(index into acts, engine)` per active partition (empty on the
+    /// CPU-only row, which has no engines).
+    decisions: Vec<(usize, EngineKind)>,
+    /// Grus only: partitions whose one-off unified-memory migration
+    /// starts this iteration, ascending.
+    migrating: Vec<u32>,
+    /// Combined tasks in priority order.
+    tasks: Vec<CombinedTask>,
+}
+
+/// Stage 2's output: the next frontier plus what Price needs to charge
+/// the recompute passes.
+struct Execution {
+    next: Frontier,
+    /// Per task (in `Analysis::tasks` order), the vertices each executed
+    /// recompute round processed, in round order.
+    recompute: Vec<Vec<Vec<VertexId>>>,
+}
+
+/// Price state carried across a run's iterations.
+struct PriceState {
+    /// One unified-memory page cache per device.
+    um: Vec<UnifiedState>,
+    /// Per-device exchange publication sizes (the system's resident
+    /// scratch, taken for the run).
+    exchange_owned: Vec<u64>,
 }
 
 impl HyTGraphSystem {
@@ -319,24 +358,11 @@ impl HyTGraphSystem {
         let working = hub.as_ref().map(|h| h.graph.clone()).unwrap_or_else(|| graph.clone());
         let parts = PartitionSet::build(&working, config.partition_bytes);
         let num_hubs = hub.as_ref().map_or(0, |h| h.num_hubs);
-        let nd = config.num_devices.max(1) as u32;
-        // The blanket cut-through knob applies to every peer link that
-        // does not carry its own per-link chunk size already. Routing
-        // through LinkSpec::with_cut_through keeps its chunk validation
-        // (a zero chunk must fail at build time, not divide-by-zero in
-        // pricing).
-        let cut = |spec: hyt_sim::LinkSpec| match config.cut_through {
-            Some(chunk) if spec.cut_through.is_none() => spec.with_cut_through(chunk),
-            _ => spec,
-        };
-        let mut interconnect = Interconnect::build(
-            config.topology,
-            nd as usize,
-            config.machine.pcie,
-            cut(config.peer_link),
-        );
+        let nd = config.num_devices.max(1);
+        let mut interconnect =
+            Interconnect::build(config.topology, nd, config.machine.pcie, config.peer_link);
         for &(a, b, spec) in &config.link_overrides {
-            interconnect = interconnect.with_link_spec(a, b, cut(spec));
+            interconnect = interconnect.with_link_spec(a, b, spec);
         }
         if !config.route_breakpoints.is_empty() {
             interconnect = interconnect.with_route_breakpoints(&config.route_breakpoints);
@@ -471,70 +497,36 @@ impl HyTGraphSystem {
         // One residency state per device: each simulated GPU caches edge
         // data out of its own memory carve (edge_budget / D).
         let budgets = DeviceBudgets::split(edge_budget, self.devices.num_devices() as usize);
-        let mut um_states: Vec<UnifiedState> = (0..budgets.len())
-            .map(|d| UnifiedState::with_budget(&self.config.machine, budgets.get(d)))
-            .collect();
-        let mut grus_states: Vec<GrusState> = (0..budgets.len())
-            .map(|d| GrusState {
+        let mut grus: Vec<GrusResidency> = (0..budgets.len())
+            .map(|d| GrusResidency {
                 resident: vec![false; self.parts.len()],
-                charged: vec![false; self.parts.len()],
                 budget_left: budgets.get(d),
             })
             .collect();
+        let mut pricing = PriceState {
+            um: (0..budgets.len())
+                .map(|d| UnifiedState::with_budget(&self.config.machine, budgets.get(d)))
+                .collect(),
+            // Resident scratch (see the struct-level reuse contract):
+            // taken out of the struct for the run — the stages hold
+            // `&self` — and put back before returning.
+            exchange_owned: std::mem::take(&mut self.exchange_owned),
+        };
         let mut per_iteration: Vec<IterationStats> = Vec::new();
-        // Resident scratch (see the struct-level reuse contract): taken
-        // out of the struct for the run — the iteration body holds
-        // `&self` — and put back before returning.
-        let mut exchange_owned = std::mem::take(&mut self.exchange_owned);
         let mut total_counters = TransferCounters::new();
         let mut total_time = self.config.startup_edge_passes * (self.num_edges() * bpe) as f64
             / self.config.machine.compaction_bw;
         let mut iter = 0u32;
 
         while !frontier.is_empty() && iter < self.config.max_iterations {
-            let stats = if self.config.selection == Selection::CpuOnly {
-                self.run_iteration_cpu(&program, &values, &mut frontier, iter)
-            } else {
-                self.run_iteration_gpu(
-                    &program,
-                    &values,
-                    &mut frontier,
-                    iter,
-                    bpe,
-                    layout,
-                    &mut um_states,
-                    &mut grus_states,
-                    &mut exchange_owned,
-                    &self.sim,
-                )
-            };
+            let analysis = self.analyze(&program, &values, &frontier, bpe, layout, &mut grus);
+            let executed = self.execute(&program, &values, &analysis);
+            let stats = self.price(iter, &analysis, &executed, bpe, layout, &mut pricing);
+            frontier = executed.next;
             total_time += stats.time;
             total_counters.merge(&stats.counters);
             per_iteration.push(stats);
-            // Measured overlap window: iteration i's exchange hides
-            // under iteration i+1's analysis, whose span is only known
-            // once i+1 has run its activity analysis. Patch the
-            // predecessor's record now that it is. An exchange with no
-            // successor iteration is never patched and stays fully
-            // exposed — both run endings (frontier drain and the
-            // max_iterations cap) leave the last record's hidden at 0
-            // by construction.
-            if let Some(cur) = per_iteration.last().filter(|_| {
-                self.config.overlap_exchange
-                    && self.config.overlap_window == OverlapWindow::Measured
-                    && per_iteration.len() >= 2
-            }) {
-                let window = analysis_span(
-                    self.config.machine.pcie.copy_latency,
-                    cur.active_partitions,
-                    cur.total_partitions,
-                );
-                let prev = &mut per_iteration[iter as usize - 1];
-                let hidden = prev.exchange.time.min(window);
-                prev.exchange.hidden = hidden;
-                prev.time -= hidden;
-                total_time -= hidden;
-            }
+            total_time -= self.settle_overlap(&mut per_iteration);
             // Device-affine migration: between iterations (the only
             // point where no iteration state is in flight) move at most
             // one partition to the device that keeps activating it,
@@ -557,7 +549,7 @@ impl HyTGraphSystem {
             iter += 1;
         }
 
-        self.exchange_owned = exchange_owned;
+        self.exchange_owned = pricing.exchange_owned;
         let snapshot = values.snapshot();
         let values = match self.hub.as_ref() {
             Some(h) => h.values_to_old_order(&snapshot),
@@ -794,55 +786,42 @@ impl HyTGraphSystem {
         self.sweep_cache.clear();
     }
 
-    /// One iteration on the simulated GPU platform (1..D devices).
+    // --- Stage 1: Analyze ---------------------------------------------
+
+    /// Activity analysis, engine selection, task combining and priority
+    /// ordering for one iteration. Reads `values` for Δ-driven priority
+    /// only; Grus residency is the one piece of state it advances.
     ///
-    /// Kernels run in the global priority order regardless of `D` — the
-    /// per-iteration barrier makes placement invisible to the computed
-    /// values — while pricing slices every combined task by owning device
-    /// and plays the slices on per-device timelines behind the shared bus.
-    #[allow(clippy::too_many_arguments)]
-    fn run_iteration_gpu<P: VertexProgram>(
+    /// The CPU-only row analyses into a single host task over every
+    /// active vertex, in ascending id order, with no engine decisions.
+    fn analyze<P: VertexProgram>(
         &self,
         program: &P,
         values: &Values<P::Value>,
-        frontier: &mut Frontier,
-        iteration: u32,
+        frontier: &Frontier,
         bpe: u64,
         layout: ValueLayout,
-        um_states: &mut [UnifiedState],
-        grus_states: &mut [GrusState],
-        exchange_owned: &mut [u64],
-        sim: &MultiGpuSim,
-    ) -> IterationStats {
+        grus: &mut [GrusResidency],
+    ) -> Analysis {
         let cfg = &self.config;
-        let machine = &cfg.machine;
-        let devices = &self.devices;
-        let nd = devices.num_devices() as usize;
-        let snapshot = match cfg.async_mode {
-            AsyncMode::Sync => Some(values.snapshot()),
-            AsyncMode::Async { .. } => None,
-        };
-        let recompute_rounds = match cfg.async_mode {
-            AsyncMode::Sync => 0,
-            AsyncMode::Async { recompute } => recompute,
-        };
-
-        // --- Stage 1: cost-aware task generation (per device). ---
-        let acts = analyze_partitions(
-            self.graph.view(),
-            &self.parts,
-            frontier,
-            &machine.pcie,
-            bpe,
-            cfg.threads,
-        );
+        let pcie = &cfg.machine.pcie;
+        let acts =
+            analyze_partitions(self.graph.view(), &self.parts, frontier, pcie, bpe, cfg.threads);
+        let mut migrating = Vec::new();
+        if cfg.selection == Selection::CpuOnly {
+            // The host reads whole adjacency runs straight from the host
+            // CSR, which is what a filter task delivers to its kernel.
+            let members = (0..acts.len()).filter(|&i| acts[i].is_active()).collect();
+            let tasks = vec![CombinedTask { kind: EngineKind::ExpFilter, members }];
+            return Analysis { acts, decisions: Vec::new(), migrating, tasks };
+        }
         // Opt-in contention awareness: Algorithm 1 priced the bus as if a
         // device owned it exclusively; with the flag on, the selector
         // sees the cost shift caused by the shard-holders sharing the
         // host link.
         let mut select_params = if cfg.contention_aware_selection {
             let holders = self.shard_holders.iter().filter(|&&h| h).count();
-            cfg.select_params.with_contention(holders as f64, machine.pcie.gamma)
+            cfg.select_params.with_contention(holders as f64, pcie.gamma)
         } else {
             cfg.select_params
         };
@@ -850,108 +829,68 @@ impl HyTGraphSystem {
         // per active vertex; the selector must price that freight
         // (exact no-op for ≤ 8-byte values).
         select_params.value_surplus = layout.compaction_surplus();
-        let decisions =
-            match cfg.selection {
-                Selection::GrusLike => grus_select(&acts, &self.parts, devices, grus_states, bpe),
-                // Peer-served zero-copy enters Algorithm 1 as one more rung:
-                // partitions whose warm peer copy can feed their on-demand
-                // reads see Tiz scaled by the peer link's advantage. With
-                // `peer_zc` off (or no warm copies yet) the closure is
-                // constant and selection is bit-identical to the plain
-                // sharded pass.
-                sel => select_engines_sharded_by(&acts, devices, &machine.pcie, bpe, sel, |pid| {
+        let decisions = match cfg.selection {
+            Selection::GrusLike => {
+                grus_select(&acts, &self.parts, &self.devices, grus, bpe, &mut migrating)
+            }
+            // Peer-served zero-copy enters Algorithm 1 as one more rung:
+            // partitions whose warm peer copy can feed their on-demand
+            // reads see Tiz scaled by the peer link's advantage. With
+            // `peer_zc` off (or no warm copies yet) the closure is
+            // constant and selection is bit-identical to the plain
+            // sharded pass.
+            sel => {
+                select_engines_sharded_by(&acts, &self.devices, pcie, bpe, sel, |pid| {
                     match self.peer_zc_scale_of(pid) {
                         Some(scale) => SelectParams { peer_zc_scale: scale, ..select_params },
                         None => select_params,
                     }
-                }),
-            };
-        let mut mix = EngineMix::default();
-        let mut dev_mix = vec![EngineMix::default(); nd];
-        for &(i, kind) in &decisions {
-            mix.add(kind, 1);
-            dev_mix[devices.device_of(acts[i].partition) as usize].add(kind, 1);
-        }
+                })
+            }
+        };
         let mut tasks =
             combine_tasks_sized(&decisions, cfg.combine_k, cfg.task_combining, layout.lane_bytes());
         order_tasks(&mut tasks, &acts, program, values, cfg.contribution_scheduling);
+        Analysis { acts, decisions, migrating, tasks }
+    }
 
-        // --- Stage 2: execution + pricing. ---
-        let next = Frontier::new(self.graph.num_vertices());
-        let mut dev_tasks: Vec<Vec<SimTask>> = vec![Vec::new(); nd];
-        let mut counters = TransferCounters::new();
-        let mut peer_zc_total = 0u64;
-        for task in &tasks {
-            let refs: Vec<&PartitionActivity> = task.members.iter().map(|&i| &acts[i]).collect();
+    // --- Stage 2: Execute ---------------------------------------------
 
-            // Slice the task's members by owning device (ascending device
-            // id, members keeping their order within a slice).
-            let mut slices: Vec<(u32, Vec<&PartitionActivity>)> = Vec::new();
-            for a in &refs {
-                let dev = devices.device_of(a.partition);
-                match slices.iter_mut().find(|(d, _)| *d == dev) {
-                    Some((_, v)) => v.push(a),
-                    None => slices.push((dev, vec![a])),
-                }
+    /// Run every task's real kernel, in priority order, over exactly the
+    /// edges its engine delivers, then its recompute rounds over the
+    /// loaded data (Section VI-A: HyTGraph reprocesses the loaded
+    /// subgraph exactly once; Subway loops). The only stage that writes
+    /// `values`.
+    ///
+    /// Synchronous iterations (and the CPU-only row, always) scatter from
+    /// an iteration-start snapshot and never recompute.
+    fn execute<P: VertexProgram>(
+        &self,
+        program: &P,
+        values: &Values<P::Value>,
+        analysis: &Analysis,
+    ) -> Execution {
+        let cfg = &self.config;
+        let view = self.graph.view();
+        let (snapshot, rounds) = match cfg.async_mode {
+            AsyncMode::Async { recompute } if cfg.selection != Selection::CpuOnly => {
+                (None, recompute)
             }
-            slices.sort_by_key(|&(d, _)| d);
-
-            // Price each device's slice with that device's engine state.
-            let mut plans: Vec<(u32, TaskPlan)> = slices
+            _ => (Some(values.snapshot()), 0),
+        };
+        let next = Frontier::new(self.graph.num_vertices());
+        let mut recompute = Vec::with_capacity(analysis.tasks.len());
+        for task in &analysis.tasks {
+            let active_all: Vec<VertexId> = task
+                .members
                 .iter()
-                .map(|(dev, srefs)| {
-                    let d = *dev as usize;
-                    let plan = match task.kind {
-                        EngineKind::ExpFilter => {
-                            filter::plan_filter(machine, self.graph.view(), srefs, bpe)
-                        }
-                        EngineKind::ExpCompaction => compaction::price_compaction_sized(
-                            machine,
-                            srefs,
-                            bpe,
-                            layout.compaction_surplus(),
-                        ),
-                        EngineKind::ImpZeroCopy => {
-                            let (mut p, peer_bytes) =
-                                self.plan_zero_copy_peer_aware(machine, srefs);
-                            peer_zc_total += peer_bytes;
-                            if cfg.selection == Selection::GrusLike {
-                                // Grus predates EMOGI's merged-and-aligned
-                                // warp access; its zero-copy path issues
-                                // ~64-byte requests, doubling TLP traffic
-                                // (Fig. 3(e)).
-                                p.transfer_time *= 2.0;
-                                p.counters.zero_copy_bytes *= 2;
-                                p.counters.tlps *= 2;
-                            }
-                            p
-                        }
-                        EngineKind::ImpUnified => match cfg.selection {
-                            Selection::GrusLike => plan_grus_um(
-                                machine,
-                                self.graph.view(),
-                                &self.parts,
-                                srefs,
-                                bpe,
-                                &mut grus_states[d],
-                            ),
-                            _ => um_states[d].plan_unified(machine, self.graph.view(), srefs, bpe),
-                        },
-                    };
-                    (*dev, plan)
-                })
+                .flat_map(|&i| analysis.acts[i].active_vertices.iter().copied())
                 .collect();
-
-            // Real kernel over exactly the delivered edges, one launch per
-            // combined task (identical to the single-device run: same
-            // member order, same gather, same edge source).
-            let active_all: Vec<VertexId> =
-                refs.iter().flat_map(|a| a.active_vertices.iter().copied()).collect();
             let compacted = (task.kind == EngineKind::ExpCompaction)
-                .then(|| compaction::compact(self.graph.view(), &active_all, cfg.threads));
+                .then(|| compaction::compact(view, &active_all, cfg.threads));
             let source = match compacted.as_ref() {
                 Some(c) => EdgeSource::Compacted(c),
-                None => EdgeSource::Graph(self.graph.view()),
+                None => EdgeSource::Graph(view),
             };
             run_kernel(
                 program,
@@ -962,11 +901,9 @@ impl HyTGraphSystem {
                 snapshot.as_deref(),
                 cfg.threads,
             );
-
-            // Recompute pass(es) over loaded data (Section VI-A: HyTGraph
-            // reprocesses the loaded subgraph exactly once; Subway loops).
-            for _ in 0..recompute_rounds {
-                let eligible = self.collect_recompute(&next, task, &acts, &active_all);
+            let mut passes = Vec::new();
+            for _ in 0..rounds {
+                let eligible = self.collect_recompute(&next, task, &analysis.acts, &active_all);
                 if eligible.is_empty() {
                     break;
                 }
@@ -975,16 +912,160 @@ impl HyTGraphSystem {
                 }
                 run_kernel(
                     program,
-                    EdgeSource::Graph(self.graph.view()),
+                    EdgeSource::Graph(view),
                     &eligible,
                     values,
                     &next,
                     None,
                     cfg.threads,
                 );
-                self.charge_recompute(&eligible, task.kind, bpe, &mut plans);
+                passes.push(eligible);
             }
+            recompute.push(passes);
+        }
+        Execution { next, recompute }
+    }
 
+    /// Newly-activated vertices that the already-loaded task data can
+    /// serve: whole partition ranges for filter/UM/ZC; the originally
+    /// gathered vertex set for compaction (only their runs were shipped).
+    fn collect_recompute(
+        &self,
+        next: &Frontier,
+        task: &CombinedTask,
+        acts: &[PartitionActivity],
+        active_all: &[VertexId],
+    ) -> Vec<VertexId> {
+        match task.kind {
+            EngineKind::ExpCompaction => {
+                active_all.iter().copied().filter(|&v| next.contains(v)).collect()
+            }
+            _ => {
+                let mut out = Vec::new();
+                for &i in &task.members {
+                    let p = self.parts.get(acts[i].partition);
+                    out.extend(next.iter_range(p.first_vertex, p.end_vertex));
+                }
+                out
+            }
+        }
+    }
+
+    // --- Stage 3: Price -----------------------------------------------
+
+    /// Price one executed iteration on the simulated GPU platform
+    /// (1..D devices): slice every combined task by owning device, plan
+    /// each slice with that device's engine state, charge the recompute
+    /// rounds, play the slices on per-device timelines behind the shared
+    /// links, and price the routed exchange of the next frontier. The
+    /// exchange is recorded fully exposed; [`Self::settle_overlap`] hides
+    /// part of it once the successor iteration's analysis is known.
+    ///
+    /// The CPU-only row prices at host edge throughput instead: no
+    /// transfers, no devices, no exchange.
+    fn price(
+        &self,
+        iteration: u32,
+        analysis: &Analysis,
+        executed: &Execution,
+        bpe: u64,
+        layout: ValueLayout,
+        state: &mut PriceState,
+    ) -> IterationStats {
+        let acts = &analysis.acts;
+        let active_vertices: u64 = acts.iter().map(|a| a.active_vertices.len() as u64).sum();
+        let active_edges: u64 = acts.iter().map(|a| a.active_edges).sum();
+        let cfg = &self.config;
+        if cfg.selection == Selection::CpuOnly {
+            let time = active_edges as f64 / CPU_EDGE_THROUGHPUT + CPU_ITERATION_OVERHEAD;
+            return IterationStats {
+                iteration,
+                active_vertices,
+                active_edges,
+                active_partitions: 0,
+                total_partitions: self.parts.len() as u32,
+                mix: EngineMix::default(),
+                tasks: 0,
+                time,
+                transfer_time: 0.0,
+                compute_time: time,
+                compaction_time: 0.0,
+                exchange: ExchangeStats::default(),
+                per_device: Vec::new(),
+                counters: TransferCounters { kernel_edges: active_edges, ..Default::default() },
+            };
+        }
+        let machine = &cfg.machine;
+        let devices = &self.devices;
+        let nd = devices.num_devices() as usize;
+        let mut mix = EngineMix::default();
+        let mut dev_mix = vec![EngineMix::default(); nd];
+        for &(i, kind) in &analysis.decisions {
+            mix.add(kind, 1);
+            dev_mix[devices.device_of(acts[i].partition) as usize].add(kind, 1);
+        }
+
+        let mut dev_tasks: Vec<Vec<SimTask>> = vec![Vec::new(); nd];
+        let mut counters = TransferCounters::new();
+        let mut peer_zc_total = 0u64;
+        for (task, rounds) in analysis.tasks.iter().zip(&executed.recompute) {
+            // Slice the task's members by owning device (ascending device
+            // id, members keeping their order within a slice).
+            let mut slices: Vec<(u32, Vec<&PartitionActivity>)> = Vec::new();
+            for &i in &task.members {
+                let a = &acts[i];
+                let dev = devices.device_of(a.partition);
+                match slices.iter_mut().find(|(d, _)| *d == dev) {
+                    Some((_, v)) => v.push(a),
+                    None => slices.push((dev, vec![a])),
+                }
+            }
+            slices.sort_by_key(|&(d, _)| d);
+
+            // Price each device's slice with that device's engine state.
+            let mut plans: Vec<(u32, TaskPlan)> = Vec::with_capacity(slices.len());
+            for (dev, srefs) in &slices {
+                let plan = match task.kind {
+                    EngineKind::ExpFilter => {
+                        filter::plan_filter(machine, self.graph.view(), srefs, bpe)
+                    }
+                    EngineKind::ExpCompaction => compaction::price_compaction_sized(
+                        machine,
+                        srefs,
+                        bpe,
+                        layout.compaction_surplus(),
+                    ),
+                    EngineKind::ImpZeroCopy => {
+                        let (mut p, peer_bytes) = self.plan_zero_copy_peer_aware(machine, srefs);
+                        peer_zc_total += peer_bytes;
+                        if cfg.selection == Selection::GrusLike {
+                            // Grus predates EMOGI's merged-and-aligned
+                            // warp access; its zero-copy path issues
+                            // ~64-byte requests, doubling TLP traffic
+                            // (Fig. 3(e)).
+                            p.transfer_time *= 2.0;
+                            p.counters.zero_copy_bytes *= 2;
+                            p.counters.tlps *= 2;
+                        }
+                        p
+                    }
+                    EngineKind::ImpUnified => match cfg.selection {
+                        Selection::GrusLike => {
+                            plan_grus_um(machine, &self.parts, srefs, bpe, &analysis.migrating)
+                        }
+                        _ => state.um[*dev as usize].plan_unified(
+                            machine,
+                            self.graph.view(),
+                            srefs,
+                            bpe,
+                        ),
+                    },
+                };
+                plans.push((*dev, plan));
+            }
+            for eligible in rounds {
+                self.charge_recompute(eligible, task.kind, bpe, &mut plans);
+            }
             for (dev, plan) in &plans {
                 counters.merge(&plan.counters);
                 dev_tasks[*dev as usize].push(plan.to_sim_task_for_device(*dev));
@@ -994,44 +1075,13 @@ impl HyTGraphSystem {
         // Each device's slice list inherits the global priority order
         // restricted to that device — per-device priority ordering for
         // free. Play them against the interconnect's contention queues.
-        let timeline = sim.schedule(&dev_tasks);
-        let exchange_report = self.price_exchange(&next, exchange_owned, layout.record_bytes());
+        let timeline = self.sim.schedule(&dev_tasks);
+        let exchange_report =
+            self.price_exchange(&executed.next, &mut state.exchange_owned, layout.record_bytes());
         counters.exchange_bytes += exchange_report.payload_bytes;
-        // With overlap on, the exchange hides under the next iteration's
-        // cost analysis: only the residual stays on the critical path.
-        // The overlap is legal on both axes: the data is disjoint (last
-        // iteration's published values vs the freshly-drained frontier's
-        // activity scan), and the resources are too — the analysis
-        // overhead is GPU-side bitmap work plus launch/driver latency
-        // (it is *scaled by* the copy latency, not DMA occupancy of the
-        // bus), so exchange legs keep their exclusive link queues while
-        // it runs. The serial baseline stays the default.
+        let exchange =
+            ExchangeStats { peer_zc_bytes: peer_zc_total, ..ExchangeStats::from(&exchange_report) };
         let analysis_time = ITERATION_OVERHEAD_COPIES * machine.pcie.copy_latency;
-        let hidden = match (cfg.overlap_exchange, cfg.overlap_window) {
-            // Measured window: the next iteration's analysis span is
-            // unknown until that analysis runs, so the exchange is
-            // recorded fully exposed here and the driver patches
-            // `hidden` (and the iteration time) once the successor has
-            // sized it. A final iteration is never patched: its
-            // exchange hides under nothing.
-            (true, OverlapWindow::Measured) => 0.0,
-            // Historical fixed-constant window: hides up to the whole
-            // orchestration overhead whether or not the next analysis
-            // is that long (or runs at all — only the max_iterations
-            // cap zeroes it). Kept bit-reproducible for differential
-            // suites; this is the over-hiding the measured window
-            // fixes.
-            (true, OverlapWindow::FixedConstant) if iteration + 1 < cfg.max_iterations => {
-                exchange_report.hidden_under(analysis_time)
-            }
-            _ => 0.0,
-        };
-        let exchange = ExchangeStats {
-            hidden,
-            peer_zc_bytes: peer_zc_total,
-            ..ExchangeStats::from(&exchange_report)
-        };
-
         let per_device: Vec<DeviceIterationStats> = (0..nd)
             .map(|d| DeviceIterationStats {
                 device: d as u32,
@@ -1042,13 +1092,11 @@ impl HyTGraphSystem {
                 compute_time: timeline.per_device[d].gpu_busy,
             })
             .collect();
-        let active_vertices: u64 = acts.iter().map(|a| a.active_vertices.len() as u64).sum();
-        let active_edges: u64 = acts.iter().map(|a| a.active_edges).sum();
-        let stats = IterationStats {
+        IterationStats {
             iteration,
             active_vertices,
             active_edges,
-            active_partitions: decisions.len() as u32,
+            active_partitions: analysis.decisions.len() as u32,
             total_partitions: self.parts.len() as u32,
             mix,
             tasks: dev_tasks.iter().map(Vec::len).sum::<usize>() as u32,
@@ -1059,11 +1107,38 @@ impl HyTGraphSystem {
             exchange,
             per_device,
             counters,
+        }
+    }
+
+    /// Settle the exchange overlap of the second-to-last record now that
+    /// the last one's analysis span is known, and return the time hidden
+    /// (0 when `overlap_exchange` is off or there is no predecessor).
+    ///
+    /// Iteration `i`'s exchange hides under iteration `i+1`'s cost
+    /// analysis: `hidden_i = min(exchange_i, analysis_span_{i+1})`. The
+    /// overlap is legal on both axes: the data is disjoint (last
+    /// iteration's published values vs the freshly-drained frontier's
+    /// activity scan), and so are the resources — the analysis is
+    /// GPU-side bitmap work plus launch latency, not DMA occupancy of
+    /// the bus. An exchange with no successor iteration is never settled
+    /// and stays fully exposed, so both run endings (frontier drain and
+    /// the `max_iterations` cap) leave the final record's hidden at 0.
+    fn settle_overlap(&self, per_iteration: &mut [IterationStats]) -> f64 {
+        let [.., prev, cur] = per_iteration else {
+            return 0.0;
         };
-        let mut drained = Frontier::new(self.graph.num_vertices());
-        drained.copy_from(&next);
-        frontier.swap(&mut drained);
-        stats
+        if !self.config.overlap_exchange {
+            return 0.0;
+        }
+        let window = analysis_span(
+            self.config.machine.pcie.copy_latency,
+            cur.active_partitions,
+            cur.total_partitions,
+        );
+        let hidden = prev.exchange.time.min(window);
+        prev.exchange.hidden = hidden;
+        prev.time -= hidden;
+        hidden
     }
 
     /// Price the end-of-iteration all-gather (D > 1 only): each device
@@ -1071,7 +1146,7 @@ impl HyTGraphSystem {
     /// vertices and receives every other shard-holder's batch, routed
     /// over the configured interconnect on each pair's cheapest path *at
     /// its batch size* — a direct peer link, a forwarded multi-hop peer
-    /// path (pipelined when `cut_through` chunks are configured), or
+    /// path (pipelined when its links carry cut-through chunks), or
     /// staging through the host root complex — with legs queueing per
     /// direction queue ([`Interconnect::price_all_gather`]). With
     /// `config.load_aware_exchange` a second pass re-routes or splits
@@ -1270,31 +1345,6 @@ impl HyTGraphSystem {
         copy_cost
     }
 
-    /// Newly-activated vertices that the already-loaded task data can
-    /// serve: whole partition ranges for filter/UM/ZC; the originally
-    /// gathered vertex set for compaction (only their runs were shipped).
-    fn collect_recompute(
-        &self,
-        next: &Frontier,
-        task: &CombinedTask,
-        acts: &[PartitionActivity],
-        active_all: &[VertexId],
-    ) -> Vec<VertexId> {
-        match task.kind {
-            EngineKind::ExpCompaction => {
-                active_all.iter().copied().filter(|&v| next.contains(v)).collect()
-            }
-            _ => {
-                let mut out = Vec::new();
-                for &i in &task.members {
-                    let p = self.parts.get(acts[i].partition);
-                    out.extend(next.iter_range(p.first_vertex, p.end_vertex));
-                }
-                out
-            }
-        }
-    }
-
     /// Price the recompute pass, attributing each vertex's share to the
     /// device slice that loaded its partition: an extra kernel launch per
     /// participating device; zero-copy also pays the bus again (its reads
@@ -1338,64 +1388,22 @@ impl HyTGraphSystem {
             }
         }
     }
-
-    /// One iteration of the CPU-only (Galois-class) comparison system:
-    /// no transfers, host edge throughput, synchronous semantics.
-    fn run_iteration_cpu<P: VertexProgram>(
-        &self,
-        program: &P,
-        values: &Values<P::Value>,
-        frontier: &mut Frontier,
-        iteration: u32,
-    ) -> IterationStats {
-        let active: Vec<VertexId> = frontier.to_vec();
-        let active_edges: u64 = active.iter().map(|&v| self.graph.out_degree(v)).sum();
-        let snapshot = values.snapshot();
-        let next = Frontier::new(self.graph.num_vertices());
-        run_kernel(
-            program,
-            EdgeSource::Graph(self.graph.view()),
-            &active,
-            values,
-            &next,
-            Some(&snapshot),
-            self.config.threads,
-        );
-        let time = active_edges as f64 / CPU_EDGE_THROUGHPUT + CPU_ITERATION_OVERHEAD;
-        let stats = IterationStats {
-            iteration,
-            active_vertices: active.len() as u64,
-            active_edges,
-            active_partitions: 0,
-            total_partitions: self.parts.len() as u32,
-            mix: EngineMix::default(),
-            tasks: 0,
-            time,
-            transfer_time: 0.0,
-            compute_time: time,
-            compaction_time: 0.0,
-            exchange: ExchangeStats::default(),
-            per_device: Vec::new(),
-            counters: TransferCounters { kernel_edges: active_edges, ..Default::default() },
-        };
-        let mut drained = Frontier::new(self.graph.num_vertices());
-        drained.copy_from(&next);
-        frontier.swap(&mut drained);
-        stats
-    }
 }
 
 /// Grus's policy, per device: resident partitions are unified-memory hits;
 /// while the owning device's budget remains, migrate (and pin) whole
 /// partitions through UM; afterwards fall back to zero-copy. Each device
 /// tracks its own residency and budget (single-device runs see exactly
-/// the original global behaviour).
+/// the original global behaviour). Partitions that become resident here
+/// are appended to `migrating`, ascending: Price charges their one-off
+/// migration this iteration.
 fn grus_select(
     acts: &[PartitionActivity],
     parts: &PartitionSet,
     devices: &DevicePlan,
-    states: &mut [GrusState],
+    states: &mut [GrusResidency],
     bytes_per_edge: u64,
+    migrating: &mut Vec<u32>,
 ) -> Vec<(usize, EngineKind)> {
     acts.iter()
         .enumerate()
@@ -1410,6 +1418,7 @@ fn grus_select(
                 if bytes <= grus.budget_left {
                     grus.budget_left -= bytes;
                     grus.resident[pid] = true;
+                    migrating.push(a.partition);
                     (i, EngineKind::ImpUnified)
                 } else {
                     (i, EngineKind::ImpZeroCopy)
@@ -1420,18 +1429,16 @@ fn grus_select(
 }
 
 /// Price a Grus unified-memory task: member partitions pay their whole
-/// span's page migration exactly once (the prefetch-and-pin), after which
-/// accesses are device-local and free.
+/// span's page migration exactly once — in the iteration that made them
+/// resident (`migrating`, ascending) — after which accesses are
+/// device-local and free.
 fn plan_grus_um(
     machine: &hyt_sim::MachineModel,
-    graph: AdjacencyView<'_>,
     parts: &PartitionSet,
     refs: &[&PartitionActivity],
     bytes_per_edge: u64,
-    grus: &mut GrusState,
+    migrating: &[u32],
 ) -> TaskPlan {
-    let _ = graph;
-    let bpe = bytes_per_edge;
     let page = machine.um.page_bytes;
     let mut partitions = Vec::new();
     let mut active_vertices = Vec::new();
@@ -1441,10 +1448,8 @@ fn plan_grus_um(
         partitions.push(a.partition);
         active_vertices.extend_from_slice(&a.active_vertices);
         active_edges += a.active_edges;
-        let pid = a.partition as usize;
-        if !grus.charged[pid] {
-            grus.charged[pid] = true;
-            let bytes = parts.get(a.partition).num_edges() * bpe;
+        if migrating.binary_search(&a.partition).is_ok() {
+            let bytes = parts.get(a.partition).num_edges() * bytes_per_edge;
             migrated_pages += bytes.div_ceil(page);
         }
     }
@@ -1576,21 +1581,6 @@ mod tests {
         let mut sys = HyTGraphSystem::new(g, cfg);
         let without_hub = sys.run(MiniSssp);
         assert_eq!(with_hub.values, without_hub.values);
-    }
-
-    #[test]
-    #[should_panic(expected = "cut-through chunks must be non-empty")]
-    fn zero_cut_through_chunks_fail_at_build_time() {
-        // A zero chunk must be rejected when the interconnect is built,
-        // not divide-by-zero later in chain pricing.
-        let g = generators::chain(3, true);
-        let cfg = HyTGraphConfig {
-            cut_through: Some(0),
-            topology: hyt_sim::TopologyKind::Ring,
-            num_devices: 2,
-            ..HyTGraphConfig::default()
-        };
-        let _ = HyTGraphSystem::new(g, cfg);
     }
 
     #[test]

@@ -123,8 +123,9 @@ pub fn choose_engine(costs: &PartitionCosts, p: &SelectParams) -> EngineKind {
 /// Returns `(partition index in acts, engine)` for active partitions, in
 /// partition order; inactive partitions are skipped (nothing to schedule).
 ///
-/// `GrusLike` and `UnifiedOnly` are stateful (device residency) and decided
-/// in `systems.rs`; this function handles the stateless policies.
+/// `GrusLike` residency is stateful and decided by the runner; here it
+/// maps to unified memory like `UnifiedOnly`. `CpuOnly` runs on the host
+/// and moves no partition to a device, so it yields an empty list.
 pub fn select_engines(
     acts: &[PartitionActivity],
     pcie: &PcieModel,
@@ -135,20 +136,22 @@ pub fn select_engines(
     acts.iter()
         .enumerate()
         .filter(|(_, a)| a.is_active())
-        .map(|(i, a)| (i, stateless_kind(a, pcie, bytes_per_edge, selection, params)))
+        .filter_map(|(i, a)| {
+            stateless_kind(a, pcie, bytes_per_edge, selection, params).map(|k| (i, k))
+        })
         .collect()
 }
 
 /// The stateless per-partition rule shared by [`select_engines`] and
-/// [`select_engines_sharded`].
+/// [`select_engines_sharded`]; `None` for the host-only `CpuOnly` policy.
 fn stateless_kind(
     a: &PartitionActivity,
     pcie: &PcieModel,
     bytes_per_edge: u64,
     selection: Selection,
     params: &SelectParams,
-) -> EngineKind {
-    match selection {
+) -> Option<EngineKind> {
+    Some(match selection {
         Selection::Hybrid => choose_engine(
             &partition_costs_sized(a, pcie, bytes_per_edge, params.value_surplus),
             params,
@@ -157,8 +160,8 @@ fn stateless_kind(
         Selection::CompactionOnly => EngineKind::ExpCompaction,
         Selection::ZeroCopyOnly => EngineKind::ImpZeroCopy,
         Selection::UnifiedOnly | Selection::GrusLike => EngineKind::ImpUnified,
-        Selection::CpuOnly => unreachable!("CPU-only systems bypass engine selection"),
-    }
+        Selection::CpuOnly => return None,
+    })
 }
 
 /// Per-device engine selection: each device's selector sees only the
@@ -171,6 +174,7 @@ fn stateless_kind(
 /// unit test asserts it); the value of the per-device structure is that
 /// stateful residency policies (Grus, pure UM) can layer per-device
 /// [`DeviceBudgets`] on top without the devices observing each other.
+/// Like [`select_engines`], `CpuOnly` yields an empty list.
 pub fn select_engines_sharded(
     acts: &[PartitionActivity],
     devices: &DevicePlan,
@@ -205,7 +209,7 @@ pub fn select_engines_sharded_by(
                 continue;
             }
             let params = params_of(a.partition);
-            out.push((i, stateless_kind(a, pcie, bytes_per_edge, selection, &params)));
+            out.extend(stateless_kind(a, pcie, bytes_per_edge, selection, &params).map(|k| (i, k)));
         }
     }
     out.sort_unstable_by_key(|&(i, _)| i);
@@ -329,6 +333,25 @@ mod tests {
         let sel =
             select_engines(&acts, &pcie, 4, Selection::ZeroCopyOnly, &SelectParams::default());
         assert_eq!(sel, vec![(0, EngineKind::ImpZeroCopy)]);
+    }
+
+    #[test]
+    fn cpu_only_selects_no_engines() {
+        use hyt_graph::{generators, DeviceAssignment, Frontier, PartitionSet};
+        let g = generators::rmat(8, 4.0, 2, true);
+        let ps = PartitionSet::build_count(&g, 4);
+        let f = Frontier::full(g.num_vertices());
+        let pcie = PcieModel::pcie3();
+        let acts = hyt_engines::analyze_partitions(g.view(), &ps, &f, &pcie, 4, 1);
+        assert!(acts.iter().any(PartitionActivity::is_active));
+        let params = SelectParams::default();
+        let plan = DevicePlan::build(&ps, 2, DeviceAssignment::EdgeBalanced, 0);
+        assert!(select_engines(&acts, &pcie, 4, Selection::CpuOnly, &params).is_empty());
+        assert!(
+            select_engines_sharded(&acts, &plan, &pcie, 4, Selection::CpuOnly, &params).is_empty()
+        );
+        assert!(select_engines_sharded_by(&acts, &plan, &pcie, 4, Selection::CpuOnly, |_| params)
+            .is_empty());
     }
 
     #[test]

@@ -78,11 +78,10 @@ pub struct ExchangeStats {
     /// host-only topology).
     pub time: SimTime,
     /// Portion of `time` hidden under the next iteration's cost
-    /// analysis when `overlap_exchange` is on (0 otherwise), sized by
-    /// the configured `OverlapWindow`. Under the measured window it
-    /// never exceeds the successor iteration's actual analysis span and
-    /// is always 0 on a run's final iteration — there is no successor
-    /// to hide under.
+    /// analysis when `overlap_exchange` is on (0 otherwise). It never
+    /// exceeds the successor iteration's actual analysis span and is
+    /// always 0 on a run's final iteration — there is no successor to
+    /// hide under.
     pub hidden: SimTime,
     /// Host root-complex busy time (staged uploads + downloads).
     pub host_time: SimTime,

@@ -1806,6 +1806,14 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "cut-through chunks must be non-empty")]
+    fn zero_cut_through_chunks_fail_at_build_time() {
+        // A zero chunk must be rejected when the link spec is built, not
+        // divide-by-zero later in chain pricing.
+        let _ = LinkSpec::nvlink().with_cut_through(0);
+    }
+
+    #[test]
     fn cut_through_pipelines_a_long_detour_toward_the_bottleneck_hop() {
         let b = 64 << 20;
         let chunk = 4 << 20;

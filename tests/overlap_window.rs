@@ -13,43 +13,38 @@
 //! window_i = ANALYSIS_SPAN_COPIES · copy_latency · active_frac_{i+1}
 //! hidden_i = min(exchange_makespan_i, window_i),  hidden_last = 0
 //! ```
-//!
-//! and keeps the old behaviour reachable as
-//! [`OverlapWindow::FixedConstant`] so differential suites can still
-//! reproduce historical timelines.
 
 use hytgraph::algos::Sssp;
 use hytgraph::core::runner::{analysis_span, ANALYSIS_SPAN_COPIES, ITERATION_OVERHEAD_COPIES};
-use hytgraph::core::{HyTGraphConfig, HyTGraphSystem, OverlapWindow, RunResult, SystemKind};
+use hytgraph::core::{HyTGraphConfig, HyTGraphSystem, RunResult, SystemKind};
 use hytgraph::graph::{generators, DeviceAssignment};
 
 const EPS: f64 = 1e-12;
 
-fn overlap_config(window: OverlapWindow, max_iterations: u32) -> HyTGraphConfig {
+fn overlap_config(max_iterations: u32) -> HyTGraphConfig {
     let mut cfg = SystemKind::HyTGraph.configure(HyTGraphConfig::default());
     cfg.num_devices = 4;
     cfg.device_assignment = DeviceAssignment::EdgeBalanced;
     cfg.threads = 1;
     cfg.overlap_exchange = true;
-    cfg.overlap_window = window;
     cfg.max_iterations = max_iterations;
     cfg
 }
 
-fn run(window: OverlapWindow, max_iterations: u32) -> (RunResult<u32>, f64) {
+fn run(max_iterations: u32) -> (RunResult<u32>, f64) {
     let g = generators::rmat(11, 10.0, 9, true);
-    let cfg = overlap_config(window, max_iterations);
+    let cfg = overlap_config(max_iterations);
     let copy_latency = cfg.machine.pcie.copy_latency;
     let mut sys = HyTGraphSystem::new(g, cfg);
     (sys.run(Sssp::from_source(0)), copy_latency)
 }
 
-/// The core satellite claim: under the measured window, iteration `i`
+/// The core claim: iteration `i`
 /// never hides more than `min(its exchange makespan, iteration i+1's
 /// actual analysis span)`, and the final iteration hides nothing.
 #[test]
 fn hidden_is_bounded_by_next_iterations_measured_analysis_span() {
-    let (r, copy_latency) = run(OverlapWindow::Measured, u32::MAX);
+    let (r, copy_latency) = run(u32::MAX);
     assert!(r.iterations >= 3, "need a multi-iteration run to exercise the window");
     let n = r.per_iteration.len();
     let mut any_hidden = false;
@@ -76,7 +71,7 @@ fn hidden_is_bounded_by_next_iterations_measured_analysis_span() {
     // Consistency: total time equals the serial run minus total hidden.
     let (serial, _) = {
         let g = generators::rmat(11, 10.0, 9, true);
-        let mut cfg = overlap_config(OverlapWindow::Measured, u32::MAX);
+        let mut cfg = overlap_config(u32::MAX);
         cfg.overlap_exchange = false;
         let mut sys = HyTGraphSystem::new(g, cfg);
         (sys.run(Sssp::from_source(0)), ())
@@ -91,10 +86,10 @@ fn hidden_is_bounded_by_next_iterations_measured_analysis_span() {
 /// `cap+1` whose analysis could absorb it).
 #[test]
 fn capped_final_iteration_hides_nothing() {
-    let (full, _) = run(OverlapWindow::Measured, u32::MAX);
+    let (full, _) = run(u32::MAX);
     let cap = full.iterations / 2;
     assert!(cap >= 2);
-    let (r, _) = run(OverlapWindow::Measured, cap);
+    let (r, _) = run(cap);
     assert_eq!(r.iterations, cap, "run must actually stop at the cap");
     let last = r.per_iteration.last().unwrap();
     assert!(last.exchange.time > 0.0, "capped mid-run iteration still exchanges");
@@ -108,47 +103,6 @@ fn capped_final_iteration_hides_nothing() {
         assert!((a.exchange.hidden - b.exchange.hidden).abs() < EPS);
         assert!((a.time - b.time).abs() < EPS);
     }
-}
-
-/// The legacy window is still reachable for differential suites, and it
-/// demonstrably over-hides: a fixed five-copy credit regardless of how
-/// little successor analysis actually exists.
-#[test]
-fn fixed_constant_window_reproduces_the_old_overreport() {
-    let (legacy, copy_latency) = run(OverlapWindow::FixedConstant, u32::MAX);
-    let (measured, _) = run(OverlapWindow::Measured, u32::MAX);
-    // Same computation either way — the window only re-attributes time.
-    assert_eq!(legacy.values, measured.values);
-    assert_eq!(legacy.iterations, measured.iterations);
-
-    let n = legacy.per_iteration.len();
-    let fixed_window = ITERATION_OVERHEAD_COPIES * copy_latency;
-    for it in &legacy.per_iteration[..n - 1] {
-        // Exactly the historical rule: min(makespan, 5·copy_latency).
-        assert!((it.exchange.hidden - it.exchange.time.min(fixed_window)).abs() < EPS);
-    }
-    assert_eq!(legacy.per_iteration[n - 1].exchange.hidden, 0.0);
-
-    // The bug the fix removes: the legacy window credits more hidden
-    // time than the successor analysis span can actually absorb.
-    let legacy_hidden: f64 = legacy.per_iteration.iter().map(|it| it.exchange.hidden).sum();
-    let measured_hidden: f64 = measured.per_iteration.iter().map(|it| it.exchange.hidden).sum();
-    assert!(
-        legacy_hidden > measured_hidden + EPS,
-        "legacy window should over-hide: {legacy_hidden} vs {measured_hidden}"
-    );
-    let mut overcredits = 0u32;
-    for i in 0..n - 1 {
-        let next = &measured.per_iteration[i + 1];
-        let span = analysis_span(copy_latency, next.active_partitions, next.total_partitions);
-        if legacy.per_iteration[i].exchange.hidden > span + EPS {
-            overcredits += 1;
-        }
-    }
-    assert!(
-        overcredits > 0,
-        "expected at least one iteration where the fixed window exceeds the real span"
-    );
 }
 
 /// The measured window's parts: the analysis span is the overlappable
@@ -166,23 +120,18 @@ fn analysis_span_scales_with_active_fraction() {
     assert_eq!(analysis_span(lat, 3, 0), 0.0);
 }
 
-/// Overlap is pure attribution under every window: values and iteration
-/// counts are bit-identical across off / measured / legacy.
+/// Overlap is pure attribution: values and iteration counts are
+/// bit-identical with the overlap on and off.
 #[test]
 fn overlap_window_never_touches_values() {
     let g = generators::rmat(10, 8.0, 5, true);
     let mut results = Vec::new();
-    for (overlap, window) in [
-        (false, OverlapWindow::Measured),
-        (true, OverlapWindow::Measured),
-        (true, OverlapWindow::FixedConstant),
-    ] {
-        let mut cfg = overlap_config(window, u32::MAX);
+    for overlap in [false, true] {
+        let mut cfg = overlap_config(u32::MAX);
         cfg.overlap_exchange = overlap;
         let mut sys = HyTGraphSystem::new(g.clone(), cfg);
         let r = sys.run(Sssp::from_source(3));
         results.push((r.values, r.iterations));
     }
     assert_eq!(results[0], results[1]);
-    assert_eq!(results[0], results[2]);
 }

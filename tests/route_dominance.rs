@@ -17,8 +17,8 @@
 //!   vector, and every byte counter — no epsilon.
 //! * **cut-through** — chunked forwarding only lowers the chain floor:
 //!   wire occupancy and byte counters are unchanged, the makespan and
-//!   critical path never grow, and `cut_through = None` reproduces the
-//!   store-and-forward pricing exactly.
+//!   critical path never grow, and a link without a chunk size
+//!   reproduces the store-and-forward pricing exactly.
 
 use hytgraph::sim::{
     Interconnect, LinkSpec, PcieModel, Route, TopologyKind, ROUTE_BREAKPOINT_LADDER,
@@ -272,7 +272,7 @@ fn load_aware_system_runs_are_value_transparent() {
             cfg.route_breakpoints =
                 ROUTE_BREAKPOINT_LADDER.iter().map(|&b| (b >> shift).max(1)).collect();
             cfg.load_aware_exchange = true;
-            cfg.cut_through = Some(256);
+            cfg.peer_link = cfg.peer_link.with_cut_through(256);
         }
         let mut sys = HyTGraphSystem::new(g.clone(), cfg);
         let r = sys.run(Bfs::from_source(0));
